@@ -499,24 +499,14 @@ func (e *Engine) CreateSummaryTable(ctx context.Context, name, sql string) (*cor
 // Insert appends rows to a base table and refreshes every summary table whose
 // definition reads it — incrementally where the maintenance plan allows, by
 // full recomputation otherwise. Per-AST refresh failures are recorded in the
-// returned Stats (the AST goes stale) and joined into the returned error; the
-// base insert itself failing aborts.
+// returned Stats (the AST goes stale) and joined into the returned error; a
+// row of the wrong arity aborts before anything changes.
 func (e *Engine) Insert(ctx context.Context, table string, rows [][]sqltypes.Value) ([]maintain.Stats, error) {
 	span := e.startSpan(ctx, "maintain")
 	defer span.End()
 	meta, found := e.cat.Table(table)
 	if !found {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTable, table)
-	}
-	// Reject malformed rows before any incremental merge sees them: a base
-	// insert aborting halfway leaves every affected AST ahead of the base
-	// tables (stale), which callers cannot distinguish from a soft per-AST
-	// refresh failure.
-	for i, r := range rows {
-		if len(r) != len(meta.Columns) {
-			return nil, fmt.Errorf("astdb: row %d has %d values, table %s has %d columns",
-				i, len(r), meta.Name, len(meta.Columns))
-		}
 	}
 	if _, ok := e.store.Table(table); !ok {
 		e.store.Create(meta)

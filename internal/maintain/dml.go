@@ -1,20 +1,11 @@
-// Delete/update maintenance. The paper's insert path (delta aggregation and
-// merge) extends to deletes via count-tracked retirement, following Cohen &
-// Nutt: every maintainable AST carries a COUNT(*)-equivalent tracker column,
-// the delete delta is the definition evaluated over just the removed rows,
-// and merging subtracts — COUNT and non-nullable SUM exactly, with a group
-// retired the moment its tracker reaches zero. MIN/MAX (and SUM over nullable
-// input) cannot be un-merged, so affected groups are recomputed from the
-// post-mutation base tables, scoped by injected grouping-key predicates. An
-// UPDATE is a delete delta (old rows) plus an insert delta (new rows) applied
-// in one merge.
-//
-// The never-fresh-and-wrong invariant of the insert path carries over: the
-// merge is prepared before the base mutation, published only after it (and
-// after any scoped recompute) succeeds, and every failure — delta evaluation,
-// inconsistent tracker counts, injected faults, scoped recompute errors —
-// falls back to a full recompute, whose own failure marks the AST stale and
-// counts toward quarantine.
+// Delete/update delta rules. A delete delta is the definition evaluated
+// over just the removed rows; merging it subtracts — COUNT and non-nullable
+// SUM exactly, with a group retired the moment its COUNT(*)-equivalent
+// tracker reaches zero. MIN/MAX (and SUM over nullable input) cannot be
+// un-merged, so affected groups are recomputed from the post-change base
+// tables, scoped by injected grouping-key predicates. An UPDATE is a delete
+// delta (old rows) plus an insert delta (new rows) applied in one merge.
+
 package maintain
 
 import (
@@ -69,7 +60,9 @@ func (m *Maintainer) ApplyDelete(plans []*Plan, dml *qgm.DML) (int, []Stats, err
 	if len(deleted) == 0 {
 		return 0, nil, nil
 	}
-	stats, err := m.applyDML(plans, table, "maintain.delete:", deleted, nil, remaining)
+	stats, err := m.applyDML(plans, table, "maintain.delete:", deleted, nil, func() {
+		m.store.Put(td.Meta, remaining)
+	})
 	return len(deleted), stats, err
 }
 
@@ -123,7 +116,9 @@ func (m *Maintainer) ApplyUpdate(plans []*Plan, dml *qgm.DML) (int, []Stats, err
 	if len(oldRows) == 0 {
 		return 0, nil, nil
 	}
-	stats, err := m.applyDML(plans, table, "maintain.update:", oldRows, newRows, newBase)
+	stats, err := m.applyDML(plans, table, "maintain.update:", oldRows, newRows, func() {
+		m.store.Put(td.Meta, newBase)
+	})
 	return len(oldRows), stats, err
 }
 
@@ -150,70 +145,71 @@ func coerceValue(v sqltypes.Value, col catalog.Column) (sqltypes.Value, error) {
 	}
 }
 
-// applyDML runs the shared delete/update sequence: per-AST delta merges are
-// prepared against the pre-mutation store, the base table is swapped
-// copy-on-write, and only then is each prepared merge completed (scoped
-// recompute where MIN/MAX groups were hit) and published. Any prepared merge
-// that fails at any point degrades to a full recompute over the post-mutation
-// base; only a successful refresh of either kind marks the AST fresh.
-func (m *Maintainer) applyDML(plans []*Plan, table, sitePrefix string, oldRows, newRows, newBase [][]sqltypes.Value) ([]Stats, error) {
-	td := m.store.MustTable(table)
-
-	var out []Stats
-	var pendings []*pendingMerge
-	var starts []time.Time
+// applyDML runs the maintenance sequence shared by INSERT, DELETE and
+// UPDATE. Per-AST delta merges are prepared against the pre-change store,
+// then change applies the base change (a copy-on-write swap or appends, so
+// concurrent readers keep a consistent snapshot), and only then is each
+// prepared merge completed (scoped recompute where MIN/MAX groups were hit)
+// and published.
+// A change without old rows is an insert and routes by InsertRouting; any
+// other routes by DeleteRouting. A prepared merge that fails at any point
+// degrades to a full recompute over the post-change base; only a successful
+// refresh of either kind marks the AST fresh. Each AST's Duration covers its
+// own prepare and its own publish or recompute, not other ASTs' work.
+func (m *Maintainer) applyDML(plans []*Plan, table, sitePrefix string, oldRows, newRows [][]sqltypes.Value, change func()) ([]Stats, error) {
+	type refresh struct {
+		p    *Plan
+		pm   *pendingMerge // nil: full recompute
+		prep time.Duration
+	}
+	var todo []refresh
 	for _, p := range plans {
 		if !p.baseTabs[table] {
 			continue
 		}
 		start := time.Now()
-		strat, _ := p.DeleteRouting(table)
-		incremental := strat == Incremental && !m.staleOrQuarantined(p.Name())
-		var pm *pendingMerge
-		var err error
-		if incremental {
-			pm, err = m.dmlDelta(p, table, sitePrefix+p.Name(), oldRows, newRows)
+		route := p.DeleteRouting
+		if len(oldRows) == 0 {
+			route = p.InsertRouting
 		}
-		if !incremental || err != nil {
-			out = append(out, Stats{AST: p.Name(), Strategy: FullRecompute})
-			pendings = append(pendings, nil)
-		} else {
-			pm.st.AST = p.Name()
-			pm.st.Strategy = Incremental
-			out = append(out, pm.st)
-			pendings = append(pendings, pm)
+		r := refresh{p: p}
+		if strat, _ := route(table); strat == Incremental && !m.staleOrQuarantined(p.Name()) {
+			if pm, err := m.dmlDelta(p, table, sitePrefix+p.Name(), oldRows, newRows); err == nil {
+				r.pm = pm
+			}
 		}
-		starts = append(starts, start)
+		r.prep = time.Since(start)
+		todo = append(todo, r)
 	}
 
-	// The base mutation: one copy-on-write swap, so concurrent readers keep a
-	// consistent pre-mutation snapshot.
-	m.store.Put(td.Meta, newBase)
+	change()
 
+	var out []Stats
 	var errs []error
-	for i := range out {
-		p := findPlan(plans, out[i].AST)
-		if pm := pendings[i]; pm != nil {
-			if err := m.scopedRecompute(p, pm); err == nil {
-				m.store.Put(p.AST.Table, pm.rows)
-				m.markFresh(p.Name())
-				pm.st.Duration = time.Since(starts[i])
-				out[i] = pm.st
-				m.obsv.Add("maintain.refresh.incremental", 1)
-				m.obsv.Add("maintain.dml.deltas", int64(pm.st.DeltaRows))
-				m.obsv.Add("maintain.dml.retired", int64(pm.st.Retired))
-				m.obsv.Add("maintain.dml.scoped", int64(pm.st.Scoped))
-				m.obsv.Observe("maintain.refresh.incremental", pm.st.Duration)
-				continue
+	for _, r := range todo {
+		start := time.Now()
+		if r.pm != nil && m.scopedRecompute(r.p, r.pm) == nil {
+			if r.pm.st.DeltaRows > 0 {
+				m.store.Put(r.p.AST.Table, r.pm.rows)
 			}
-			// The prepared merge could not be completed; recover by full
-			// recompute like any other incremental failure.
+			m.markFresh(r.p.Name())
+			st := r.pm.st
+			st.AST, st.Strategy = r.p.Name(), Incremental
+			st.Duration = r.prep + time.Since(start)
+			out = append(out, st)
+			m.obsv.Add("maintain.refresh.incremental", 1)
+			m.obsv.Add("maintain.dml.deltas", int64(st.DeltaRows))
+			m.obsv.Add("maintain.dml.retired", int64(st.Retired))
+			m.obsv.Add("maintain.dml.scoped", int64(st.Scoped))
+			m.obsv.Observe("maintain.refresh.incremental", st.Duration)
+			continue
 		}
-		st, err := m.RefreshFull(p)
-		st.Duration += time.Since(starts[i])
-		out[i] = st
+		// Not incremental, or the prepared merge could not be completed.
+		st, err := m.RefreshFull(r.p)
+		st.Duration = r.prep + time.Since(start)
+		out = append(out, st)
 		if err != nil {
-			errs = append(errs, st.Err)
+			errs = append(errs, err)
 		}
 	}
 	return out, errors.Join(errs...)
@@ -253,18 +249,23 @@ func (m *Maintainer) dmlDelta(p *Plan, table, site string, oldRows, newRows [][]
 		return nil, err
 	}
 	td := m.store.MustTable(table)
-	var del, ins *exec.Result
-	if len(oldRows) > 0 {
-		del, err = exec.NewEngine(m.store.Overlay(table, td.Meta, oldRows)).Run(p.AST.Graph)
-		if err != nil {
-			return nil, fmt.Errorf("maintain: delete delta eval: %w", err)
+	delta := func(kind string, rows [][]sqltypes.Value) ([][]sqltypes.Value, error) {
+		if len(rows) == 0 {
+			return nil, nil
 		}
+		res, err := exec.NewEngine(m.store.Overlay(table, td.Meta, rows)).Run(p.AST.Graph)
+		if err != nil {
+			return nil, fmt.Errorf("maintain: %s delta eval: %w", kind, err)
+		}
+		return res.Rows, nil
 	}
-	if len(newRows) > 0 {
-		ins, err = exec.NewEngine(m.store.Overlay(table, td.Meta, newRows)).Run(p.AST.Graph)
-		if err != nil {
-			return nil, fmt.Errorf("maintain: insert delta eval: %w", err)
-		}
+	del, err := delta("delete", oldRows)
+	if err != nil {
+		return nil, err
+	}
+	ins, err := delta("insert", newRows)
+	if err != nil {
+		return nil, err
 	}
 	return m.mergeDeltas(p, del, ins)
 }
@@ -273,14 +274,19 @@ func (m *Maintainer) dmlDelta(p *Plan, table, site string, oldRows, newRows [][]
 // current materialization. Retirement is strict: a delete delta for a group
 // the materialization does not hold, or a tracker going negative, means the
 // materialization and the base disagree — the merge is abandoned (full
-// recompute) rather than published.
-func (m *Maintainer) mergeDeltas(p *Plan, del, ins *exec.Result) (*pendingMerge, error) {
+// recompute) rather than published. When both deltas are empty nothing is
+// copied and the pending merge has DeltaRows 0, which publishes nothing: a
+// dimension insert must not re-chunk every summary table.
+func (m *Maintainer) mergeDeltas(p *Plan, del, ins [][]sqltypes.Value) (*pendingMerge, error) {
+	if len(del)+len(ins) == 0 {
+		return &pendingMerge{}, nil
+	}
 	mat, ok := m.store.Table(p.Name())
 	if !ok {
 		return nil, fmt.Errorf("maintain: AST %q not materialized", p.Name())
 	}
 	snap := mat.Snapshot()
-	merged := make([][]sqltypes.Value, len(snap))
+	merged := make([][]sqltypes.Value, len(snap), len(snap)+len(ins))
 	copy(merged, snap)
 	index := make(map[string]int, len(merged))
 	for i, r := range merged {
@@ -293,79 +299,75 @@ func (m *Maintainer) mergeDeltas(p *Plan, del, ins *exec.Result) (*pendingMerge,
 	dead := map[int]bool{}
 	pm := &pendingMerge{scoped: map[string][]sqltypes.Value{}}
 
-	if del != nil {
-		for _, d := range del.Rows {
-			pm.st.DeltaRows++
-			k := p.groupKey(d)
-			i, ok := index[k]
-			if !ok {
-				return nil, fmt.Errorf("maintain: delete delta names a group %s does not hold", p.Name())
-			}
-			nr := append([]sqltypes.Value(nil), merged[i]...)
-			oc, dc := nr[p.counterCol], d[p.counterCol]
-			if oc.IsNull() || dc.IsNull() {
-				return nil, fmt.Errorf("maintain: NULL tracker count in %s", p.Name())
-			}
-			n := oc.Int() - dc.Int()
-			if n < 0 {
-				return nil, fmt.Errorf("maintain: tracker count of %s went negative", p.Name())
-			}
-			if n == 0 {
-				// Every row of the group left: retire it.
-				dead[i] = true
-				delete(index, k)
-				pm.st.Retired++
+	for _, d := range del {
+		pm.st.DeltaRows++
+		k := p.groupKey(d)
+		i, ok := index[k]
+		if !ok {
+			return nil, fmt.Errorf("maintain: delete delta names a group %s does not hold", p.Name())
+		}
+		nr := append([]sqltypes.Value(nil), merged[i]...)
+		oc, dc := nr[p.counterCol], d[p.counterCol]
+		if oc.IsNull() || dc.IsNull() {
+			return nil, fmt.Errorf("maintain: NULL tracker count in %s", p.Name())
+		}
+		n := oc.Int() - dc.Int()
+		if n < 0 {
+			return nil, fmt.Errorf("maintain: tracker count of %s went negative", p.Name())
+		}
+		if n == 0 {
+			// Every row of the group left: retire it.
+			dead[i] = true
+			delete(index, k)
+			pm.st.Retired++
+			continue
+		}
+		for ci, role := range p.roles {
+			if role.key || ci == p.counterCol || scopedCol[ci] {
 				continue
 			}
-			for ci, role := range p.roles {
-				if role.key || ci == p.counterCol || scopedCol[ci] {
-					continue
-				}
-				if d[ci].IsNull() {
-					continue // the departed rows contributed nothing here
-				}
-				if nr[ci].IsNull() {
-					return nil, fmt.Errorf("maintain: subtracting from NULL aggregate in %s", p.Name())
-				}
-				v, err := sqltypes.Sub(nr[ci], d[ci])
-				if err != nil {
-					return nil, fmt.Errorf("maintain: subtracting column %d: %w", ci, err)
-				}
-				nr[ci] = v
+			if d[ci].IsNull() {
+				continue // the departed rows contributed nothing here
 			}
-			nr[p.counterCol] = sqltypes.NewInt(n)
-			if len(p.scopedCols) > 0 {
-				kv := make([]sqltypes.Value, len(p.keyCols))
-				for j, kc := range p.keyCols {
-					kv[j] = nr[kc]
-				}
-				pm.scoped[k] = kv
+			if nr[ci].IsNull() {
+				return nil, fmt.Errorf("maintain: subtracting from NULL aggregate in %s", p.Name())
+			}
+			v, err := sqltypes.Sub(nr[ci], d[ci])
+			if err != nil {
+				return nil, fmt.Errorf("maintain: subtracting column %d: %w", ci, err)
+			}
+			nr[ci] = v
+		}
+		nr[p.counterCol] = sqltypes.NewInt(n)
+		if len(p.scopedCols) > 0 {
+			kv := make([]sqltypes.Value, len(p.keyCols))
+			for j, kc := range p.keyCols {
+				kv[j] = nr[kc]
+			}
+			pm.scoped[k] = kv
+		}
+		merged[i] = nr
+		pm.st.Merged++
+	}
+	for _, d := range ins {
+		pm.st.DeltaRows++
+		k := p.groupKey(d)
+		if i, ok := index[k]; ok {
+			// Insert-side merge adds or takes extremes (mergeRow); scoped
+			// columns are overwritten by the recompute below anyway.
+			nr := append([]sqltypes.Value(nil), merged[i]...)
+			if err := mergeRow(p, nr, d); err != nil {
+				return nil, err
 			}
 			merged[i] = nr
 			pm.st.Merged++
-		}
-	}
-	if ins != nil {
-		for _, d := range ins.Rows {
-			pm.st.DeltaRows++
-			k := p.groupKey(d)
-			if i, ok := index[k]; ok {
-				// Insert-side merge is the ApplyInsert rule; scoped columns
-				// are overwritten by the recompute below anyway.
-				nr := append([]sqltypes.Value(nil), merged[i]...)
-				if err := mergeRow(p, nr, d); err != nil {
-					return nil, err
-				}
-				merged[i] = nr
-				pm.st.Merged++
-			} else {
-				// New group (or one fully retired above and reborn from the
-				// new rows alone — the insert delta is then its exact value).
-				nr := append([]sqltypes.Value(nil), d...)
-				merged = append(merged, nr)
-				index[k] = len(merged) - 1
-				pm.st.Added++
-			}
+		} else {
+			// New group (or one fully retired above and reborn from the
+			// new rows alone — the insert delta is then its exact value).
+			nr := append([]sqltypes.Value(nil), d...)
+			merged = append(merged, nr)
+			index[k] = len(merged) - 1
+			pm.st.Added++
 		}
 	}
 	if len(dead) > 0 {

@@ -41,25 +41,29 @@ func buildUpdate(t testing.TB, f *fixture, sql string) *qgm.DML {
 func TestAnalyzeDeleteRouting(t *testing.T) {
 	f := newFixture(t, 500)
 	cases := []struct {
-		sql    string
-		want   Strategy
-		reason string // substring of the full-recompute reason
+		sql     string
+		want    Strategy // delete routing
+		wantIns Strategy // insert routing
+		reason  string   // substring of the delete full-recompute reason
 	}{
 		{`select flid, count(*) as c, sum(qty) as s from trans group by flid`,
-			Incremental, ""},
+			Incremental, Incremental, ""},
 		{`select flid, count(qty) as c, sum(qty) as s from trans group by flid`,
-			Incremental, ""}, // count(non-nullable) counts rows, so it is a tracker
+			Incremental, Incremental, ""}, // count(non-nullable) counts rows, so it is a tracker
 		{`select flid, sum(qty) as s from trans group by flid`,
-			FullRecompute, "tracker"},
+			FullRecompute, Incremental, "tracker"}, // inserts merge without a tracker
 		{`select flid, count(*) as c, min(price) as mn from trans group by flid`,
-			Incremental, ""}, // MIN handled by scoped recompute
+			Incremental, Incremental, ""}, // MIN handled by scoped recompute
 		{`select flid, year(date) as y, count(*) as c, max(price) as mx
 		  from trans group by rollup(flid, year(date))`,
-			FullRecompute, "supergroup"},
+			FullRecompute, Incremental, "supergroup"},
 		{`select flid, year(date) as y, count(*) as c, sum(qty) as s
 		  from trans group by rollup(flid, year(date))`,
-			Incremental, ""}, // subtractable aggregates retire cuboid groups too
+			Incremental, Incremental, ""}, // subtractable aggregates retire cuboid groups too
+		{`select flid, count(distinct faid) as c from trans group by flid`,
+			FullRecompute, FullRecompute, "DISTINCT"},
 	}
+	rng := rand.New(rand.NewSource(17))
 	for i, c := range cases {
 		ca := f.compile(t, fmt.Sprintf("dr%d", i), c.sql)
 		p := f.m.Analyze(ca)
@@ -70,6 +74,18 @@ func TestAnalyzeDeleteRouting(t *testing.T) {
 		if c.reason != "" && !strings.Contains(reason, c.reason) {
 			t.Errorf("case %d: reason %q does not mention %q", i, reason, c.reason)
 		}
+		if got, reason := p.InsertRouting("trans"); got != c.wantIns {
+			t.Errorf("case %d (%s): insert routing %v (reason %q), want %v", i, c.sql, got, reason, c.wantIns)
+		}
+		// The shared pipeline must route an INSERT the way InsertRouting says.
+		stats, err := f.m.ApplyInsert([]*Plan{p}, "trans", randTransRows(f, rng, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats[0].Strategy != c.wantIns {
+			t.Errorf("case %d: ApplyInsert used %v, want %v", i, stats[0].Strategy, c.wantIns)
+		}
+		checkAgainstRecompute(t, f, ca)
 	}
 }
 

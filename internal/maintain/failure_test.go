@@ -10,8 +10,10 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/qgm"
 )
@@ -248,4 +250,70 @@ func TestRefreshFullDirectRecovery(t *testing.T) {
 		t.Fatalf("status after RefreshFull: %+v", got)
 	}
 	checkAgainstRecompute(t, f, ca)
+}
+
+// TestBadArityInsertChangesNothing: a malformed row anywhere in a batch
+// rejects the whole batch before any refresh or base append, so the base
+// table, the summary table and its catalog status are all left as they were.
+func TestBadArityInsertChangesNothing(t *testing.T) {
+	f := newTrackedFixture(t, 600)
+	ca := f.compile(t, "arity", `select flid, count(*) as c, sum(qty) as s from trans group by flid`)
+	plan := f.m.Analyze(ca)
+	f.cat.MarkFresh("arity")
+	wantStatus := f.cat.Status("arity")
+	wantAST := f.store.MustTable("arity").Rows()
+
+	rows := randTransRows(f, rand.New(rand.NewSource(15)), 6)
+	rows[3] = rows[3][:len(rows[3])-1]
+	if _, err := f.m.ApplyInsert([]*Plan{plan}, "trans", rows); err == nil {
+		t.Fatal("a batch with a short row must be rejected")
+	}
+	if got := f.store.MustTable("trans").Cardinality(); got != 600 {
+		t.Fatalf("trans has %d rows after a rejected batch, want 600", got)
+	}
+	gotAST := f.store.MustTable("arity").Rows()
+	if diff := exec.EqualResults(&exec.Result{Rows: wantAST}, &exec.Result{Rows: gotAST}); diff != "" {
+		t.Fatalf("summary table changed by a rejected batch: %s", diff)
+	}
+	if got := f.cat.Status("arity"); got != wantStatus {
+		t.Fatalf("status changed by a rejected batch: %+v, want %+v", got, wantStatus)
+	}
+}
+
+// TestDurationCountsOnlyOwnWork: a slow full recompute of one AST must not
+// show up in another AST's Duration, nor twice in its own, whichever
+// statement drives the refresh.
+func TestDurationCountsOnlyOwnWork(t *testing.T) {
+	faultinject.Enable(1)
+	defer faultinject.Disable()
+
+	const delay = 200 * time.Millisecond
+	f := newFixture(t, 600)
+	full := f.compile(t, "slowfull", `select flid, count(distinct faid) as c from trans group by flid`)
+	inc := f.compile(t, "quickinc", `select flid, count(*) as c, sum(qty) as s from trans group by flid`)
+	plans := []*Plan{f.m.Analyze(full), f.m.Analyze(inc)}
+	faultinject.Set("maintain.full:slowfull", faultinject.Fault{Delay: delay})
+
+	check := func(op string, stats []Stats) {
+		t.Helper()
+		if len(stats) != 2 || stats[0].Strategy != FullRecompute || stats[1].Strategy != Incremental {
+			t.Fatalf("%s: want [full, incremental], got %+v", op, stats)
+		}
+		if d := stats[0].Duration; d >= 2*delay {
+			t.Errorf("%s: full refresh Duration %v counts its recompute twice (delay %v)", op, d, delay)
+		}
+		if d := stats[1].Duration; d >= delay {
+			t.Errorf("%s: incremental Duration %v includes the other AST's %v recompute", op, d, delay)
+		}
+	}
+	stats, err := f.m.ApplyInsert(plans, "trans", randTransRows(f, rand.New(rand.NewSource(16)), 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("insert", stats)
+	_, stats, err = f.m.ApplyDelete(plans, buildDelete(t, f, `delete from trans where qty = 2`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("delete", stats)
 }
