@@ -78,9 +78,6 @@ type Engine struct {
 	cfg   exec.Config
 	cache *core.PlanCache // nil = plan caching disabled
 
-	// verifyPlans checks every parsed graph with qgmcheck (WithVerifyPlans).
-	verifyPlans bool
-
 	// The AST set and its derived maintenance plans are read on every Query
 	// and published RCU-style: asts always points at an immutable slice that
 	// readers load with one atomic op and never mutate; writers (summary-table
@@ -111,12 +108,11 @@ func (e *Engine) setASTs(asts []*core.CompiledAST) {
 
 // settings accumulates functional options.
 type settings struct {
-	store       *storage.Store
-	cfg         exec.Config
-	cacheCap    int // 0 = default size, <0 = disabled
-	obsv        *obs.Observer
-	coreOpts    core.Options
-	verifyPlans bool
+	store    *storage.Store
+	cfg      exec.Config
+	cacheCap int // 0 = default size, <0 = disabled
+	obsv     *obs.Observer
+	coreOpts core.Options
 }
 
 // Option configures Open and Wrap.
@@ -150,18 +146,16 @@ func WithAllowStale(allow bool) Option {
 func WithCoreOptions(o core.Options) Option { return func(c *settings) { c.coreOpts = o } }
 
 // WithVerifyPlans turns on static plan verification (internal/qgmcheck) at
-// both engine seams: every parsed query graph is checked post-build (a
-// failing build is an engine bug and surfaces as an error), and the rewriter
-// runs the deep semantic checker over every accepted rewrite (a failing
-// rewrite is discarded and the query degrades to the base plan). Default off:
-// the deep checker allocates per plan, and the zero-overhead observability
-// contract holds only without it. Open only; Wrap keeps the passed rewriter's
-// options, but the post-parse seam still applies.
+// both engine seams: every parsed query graph and compiled DML statement is
+// checked post-build (a failing build is an engine bug and surfaces as an
+// error), and the rewriter runs the deep semantic checker over every accepted
+// rewrite (a failing rewrite is discarded and the query degrades to the base
+// plan). Default off: the deep checker allocates per plan, and the
+// zero-overhead observability contract holds only without it. It sets
+// core.Options.VerifyPlans, so it is Open only; Wrap keeps the passed
+// rewriter's options.
 func WithVerifyPlans(on bool) Option {
-	return func(c *settings) {
-		c.coreOpts.VerifyPlans = on
-		c.verifyPlans = on
-	}
+	return func(c *settings) { c.coreOpts.VerifyPlans = on }
 }
 
 // Open builds a fresh pipeline over the catalog and compiles every summary
@@ -207,8 +201,6 @@ func assemble(cat *catalog.Catalog, store *storage.Store, exe *exec.Engine, rw *
 		rw:    rw,
 		maint: maintain.New(store).WithCatalog(cat),
 		cfg:   c.cfg,
-
-		verifyPlans: c.verifyPlans,
 	}
 	if c.cacheCap >= 0 {
 		e.cache = core.NewPlanCache(c.cacheCap)
@@ -290,47 +282,21 @@ type Answer struct {
 	CacheHit bool
 }
 
-// Query answers one SQL query with graceful degradation, through the plan
-// cache when one is configured: parse, rewrite against the registered summary
-// tables (cost-based when cached, picking the cheapest candidate), execute
-// under the engine's limits, and fall back to the base plan — marking the AST
-// stale — if the rewritten plan fails. Only typed budget errors and
-// base-plan failures are returned.
+// Query answers one SQL query with graceful degradation: parse, choose the
+// plan through the plan cache (cost-based, picking the cheapest summary table
+// estimated to beat the base plan; a disabled cache chooses the same plan
+// every time), execute under the engine's limits, and fall back to the base
+// plan — marking the AST stale — if the rewritten plan fails. Only typed
+// budget errors and base-plan failures are returned.
 func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 	span := e.startSpan(ctx, "query")
 	defer span.End()
 	ctx = obs.ContextWithSpan(ctx, span)
-	if e.cache == nil {
-		g, err := e.parse(span, sql)
-		if err != nil {
-			return nil, err
-		}
-		return e.queryGraph(ctx, g)
-	}
 	cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, e.astsNow(), e.store)
 	if err != nil {
 		return nil, compileError(err)
 	}
-	r, err := e.runPlan(ctx, cr.Plan)
-	if err == nil {
-		return &Answer{Result: r, Plan: cr.Plan, Rewrite: cr.Rewrite, AST: cr.AST, CacheHit: cr.Hit}, nil
-	}
-	if cr.AST == "" || errors.Is(err, exec.ErrBudgetExceeded) || errors.Is(err, exec.ErrCanceled) {
-		return nil, err
-	}
-	// The rewritten plan failed (e.g. the materialized table is unreadable).
-	// Mark the AST stale — which also invalidates the cached plan, its key
-	// fingerprints AST status — and answer from base tables.
-	e.cat.MarkStale(cr.AST)
-	base, berr := e.parse(span, sql)
-	if berr != nil {
-		return nil, err
-	}
-	r, err = e.runPlan(ctx, base)
-	if err != nil {
-		return nil, err
-	}
-	return &Answer{Result: r, Plan: base, Rewrite: cr.Rewrite, FellBack: true, CacheHit: cr.Hit}, nil
+	return e.answer(ctx, cr, func() (*qgm.Graph, error) { return e.parse(span, sql) })
 }
 
 // QueryGraph is Query for an already-built graph; it bypasses the plan cache.
@@ -339,55 +305,60 @@ func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 func (e *Engine) QueryGraph(ctx context.Context, query *qgm.Graph) (*Answer, error) {
 	span := e.startSpan(ctx, "query")
 	defer span.End()
-	return e.queryGraph(obs.ContextWithSpan(ctx, span), query)
+	ctx = obs.ContextWithSpan(ctx, span)
+	plan, res := e.rw.RewriteOrFallback(ctx, query, e.astsNow(), e.store)
+	cr := &Rewrite{Plan: plan, Rewrite: res}
+	if res != nil {
+		cr.AST = res.AST.Def.Name
+	}
+	return e.answer(ctx, cr, func() (*qgm.Graph, error) { return query, nil })
 }
 
-func (e *Engine) queryGraph(ctx context.Context, query *qgm.Graph) (*Answer, error) {
-	plan, res := e.rw.RewriteOrFallback(ctx, query, e.astsNow())
-	r, err := e.runPlan(ctx, plan)
+// answer runs a chosen plan. When a rewritten plan fails for any reason but
+// budget exhaustion or cancellation (retrying on base tables could only be
+// slower), the summary table is marked stale — which also re-keys any cached
+// plan reading it — and the query is re-answered from the base plan that base
+// returns.
+func (e *Engine) answer(ctx context.Context, cr *Rewrite, base func() (*qgm.Graph, error)) (*Answer, error) {
+	r, err := e.runPlan(ctx, cr.Plan)
 	if err == nil {
-		ans := &Answer{Result: r, Plan: plan, Rewrite: res}
-		if res != nil {
-			ans.AST = res.AST.Def.Name
-		}
-		return ans, nil
+		return &Answer{Result: r, Plan: cr.Plan, Rewrite: cr.Rewrite, AST: cr.AST, CacheHit: cr.Hit}, nil
 	}
-	// Budget exhaustion and cancellation surface typed: retrying on base
-	// tables could only be slower.
-	if res == nil || errors.Is(err, exec.ErrBudgetExceeded) || errors.Is(err, exec.ErrCanceled) {
+	if cr.AST == "" || errors.Is(err, exec.ErrBudgetExceeded) || errors.Is(err, exec.ErrCanceled) {
 		return nil, err
 	}
-	e.cat.MarkStale(res.AST.Def.Name)
-	r, err = e.runPlan(ctx, query)
+	e.cat.MarkStale(cr.AST)
+	g, berr := base()
+	if berr != nil {
+		return nil, err
+	}
+	r, err = e.runPlan(ctx, g)
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{Result: r, Plan: query, Rewrite: res, FellBack: true}, nil
+	return &Answer{Result: r, Plan: g, Rewrite: cr.Rewrite, FellBack: true, CacheHit: cr.Hit}, nil
 }
 
-// Rewrite plans one SQL query without executing it. With no restriction it is
-// the cache-aware cost-based rewrite Query uses; naming summary tables in
-// only restricts the candidate set (bypassing the cache, whose entries are
-// keyed against the full set).
+// Rewrite plans one SQL query without executing it, making the plan choice
+// Query makes. With no restriction it goes through the plan cache; naming
+// summary tables in only restricts the candidate set and bypasses the cache
+// (a restricted plan is never one Query would look up). Naming a summary
+// table the engine does not have is an ErrUnknownTable.
 func (e *Engine) Rewrite(ctx context.Context, sql string, only ...string) (*Rewrite, error) {
 	span := e.startSpan(ctx, "rewrite")
 	defer span.End()
 	ctx = obs.ContextWithSpan(ctx, span)
-	if e.cache != nil && len(only) == 0 {
-		cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, e.astsNow(), e.store)
-		if err != nil {
-			return nil, compileError(err)
+	asts, cache := e.astsNow(), e.cache
+	if len(only) > 0 {
+		var err error
+		if asts, err = e.selectASTs(only); err != nil {
+			return nil, err
 		}
-		return cr, nil
+		cache = nil
 	}
-	g, err := e.parse(span, sql)
+	cr, err := e.rw.RewriteSQLCached(ctx, cache, sql, asts, e.store)
 	if err != nil {
-		return nil, err
-	}
-	plan, res := e.rw.RewriteOrFallback(ctx, g, e.selectASTs(only))
-	cr := &Rewrite{Plan: plan, Rewrite: res}
-	if res != nil {
-		cr.AST = res.AST.Def.Name
+		return nil, compileError(err)
 	}
 	return cr, nil
 }
@@ -402,7 +373,8 @@ func (e *Engine) Execute(ctx context.Context, g *qgm.Graph) (*exec.Result, error
 // failures under the typed error surface (ErrParse / ErrUnknownTable). With
 // WithVerifyPlans, the built graph is additionally run through the static
 // checker: a violation here means the builder produced an unsound graph, and
-// surfaces as an error rather than silently planning over it.
+// surfaces as an error rather than silently planning over it. (A plan-cache
+// miss makes the same check inside core.RewriteSQLCached.)
 func (e *Engine) parse(span obs.Span, sql string) (*qgm.Graph, error) {
 	p := span.Child("parse")
 	g, err := qgm.BuildSQL(sql, e.cat)
@@ -410,7 +382,7 @@ func (e *Engine) parse(span obs.Span, sql string) (*qgm.Graph, error) {
 	if err != nil {
 		return nil, compileError(err)
 	}
-	if e.verifyPlans {
+	if e.rw.Options().VerifyPlans {
 		if verr := qgmcheck.AsError(qgmcheck.Check(g)); verr != nil {
 			return nil, fmt.Errorf("astdb: built graph failed verification: %w", verr)
 		}
@@ -418,26 +390,28 @@ func (e *Engine) parse(span obs.Span, sql string) (*qgm.Graph, error) {
 	return g, nil
 }
 
-// selectASTs returns the compiled ASTs restricted to the given names (all
-// when names is empty). The unrestricted case returns the published slice
-// itself; the filtered case builds a fresh slice — filtering in place would
-// scribble on the immutable published set.
-func (e *Engine) selectASTs(names []string) []*core.CompiledAST {
-	asts := e.astsNow()
-	if len(names) == 0 {
-		return asts
-	}
+// selectASTs returns the compiled ASTs with the given names, in registration
+// order, in a fresh slice (filtering in place would scribble on the immutable
+// published set). A name with no compiled summary table is an
+// ErrUnknownTable.
+func (e *Engine) selectASTs(names []string) ([]*core.CompiledAST, error) {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
 		want[n] = true
 	}
 	out := make([]*core.CompiledAST, 0, len(names))
-	for _, ca := range asts {
+	for _, ca := range e.astsNow() {
 		if want[ca.Def.Name] {
 			out = append(out, ca)
+			delete(want, ca.Def.Name)
 		}
 	}
-	return out
+	for _, n := range names {
+		if want[n] {
+			return nil, fmt.Errorf("%w: no summary table %q", ErrUnknownTable, n)
+		}
+	}
+	return out, nil
 }
 
 // runPlan executes one graph, converting a panic anywhere under the executor

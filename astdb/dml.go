@@ -89,7 +89,7 @@ func (e *Engine) compileDML(sql string, kind qgm.DMLKind) (*qgm.DML, error) {
 	if err != nil {
 		return nil, compileError(err)
 	}
-	if e.verifyPlans {
+	if e.rw.Options().VerifyPlans {
 		if verr := qgmcheck.AsError(qgmcheck.CheckDML(dml)); verr != nil {
 			return nil, fmt.Errorf("astdb: built %v failed verification: %w", dml.Kind, verr)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/qgm"
+	"repro/internal/qgmcheck"
 )
 
 // Typed error surface of the facade. Every error an Engine method returns
@@ -37,10 +38,13 @@ var (
 // compileError classifies a parse/build failure under the typed surface:
 // unknown-table failures (a semantic condition callers routinely probe for)
 // keep their own sentinel, everything else — lexer errors, unknown columns,
-// type mismatches — is an ErrParse. The original error stays in the chain.
+// type mismatches — is an ErrParse. The original error stays in the chain. A
+// built graph failing WithVerifyPlans' check is an engine bug, not a bad
+// statement, and stays unclassified.
 func compileError(err error) error {
-	if err == nil {
-		return nil
+	var verr *qgmcheck.CheckError
+	if err == nil || errors.As(err, &verr) {
+		return err
 	}
 	if errors.Is(err, qgm.ErrUnknownTable) {
 		return fmt.Errorf("%w: %w", ErrUnknownTable, err)

@@ -3,6 +3,7 @@ package astdb_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,6 +86,13 @@ func TestTypedErrorSurface(t *testing.T) {
 	t.Run("unknown-table-query", func(t *testing.T) {
 		_, err := db.Query(ctx, "select a from nosuch")
 		check(t, err, astdb.ErrUnknownTable)
+	})
+	t.Run("unknown-summary-table-rewrite", func(t *testing.T) {
+		_, err := db.Rewrite(ctx, "select flid, count(*) as cnt from trans group by flid", "byloc", "nosuch")
+		check(t, err, astdb.ErrUnknownTable)
+		if !strings.Contains(err.Error(), `"nosuch"`) {
+			t.Fatalf("error does not name the missing summary table: %v", err)
+		}
 	})
 	t.Run("unknown-table-insert", func(t *testing.T) {
 		_, err := db.Insert(ctx, "nosuch", [][]sqltypes.Value{{sqltypes.NewInt(1)}})

@@ -73,8 +73,8 @@ type Candidate struct {
 
 // Explain runs the full rewrite decision for one SQL query and reports it:
 // every registered summary table is matched against the query with tracing on
-// (candidates in name order), the cost-based selection picks a plan exactly as
-// Query would, and the chosen plan is executed for its actual row count.
+// (candidates in name order), core.RewriteOrFallback picks the plan Query
+// would, and the chosen plan is executed for its actual row count.
 // Explain bypasses the plan cache and never mutates engine state beyond
 // counters.
 func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
@@ -111,21 +111,16 @@ func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
 		rep.Candidates = append(rep.Candidates, cand)
 	}
 
-	// Reproduce Query's plan choice: cost-based selection over usable
-	// candidates, validated, falling back to the base plan.
+	// Query's plan choice, made by the same function.
 	g, err := e.parse(span, sql)
 	if err != nil {
 		return nil, err
 	}
-	clone := g.Clone()
-	plan := g
-	if res := e.rw.RewriteBestCostCtx(ctx, clone, e.ASTs(), e.store); res != nil {
-		if clone.Validate() == nil {
-			plan = clone
-			rep.ChosenAST = res.AST.Def.Name
-			rep.ChosenPattern = res.Match.Pattern
-			rep.EstBaseRows, rep.EstRewrittenRows = e.rw.CostEstimate(res.Match, res.AST, e.store)
-		}
+	plan, res := e.rw.RewriteOrFallback(ctx, g, e.astsNow(), e.store)
+	if res != nil {
+		rep.ChosenAST = res.AST.Def.Name
+		rep.ChosenPattern = res.Match.Pattern
+		rep.EstBaseRows, rep.EstRewrittenRows = e.rw.CostEstimate(res.Match, res.AST, e.store)
 	}
 	if r, err := e.runPlan(ctx, plan); err != nil {
 		rep.ExecError = err.Error()

@@ -33,10 +33,13 @@ func suiteEngine(t *testing.T, opts ...astdb.Option) *astdb.Engine {
 // TestObserverParity runs the whole paper query suite through an observed and
 // an unobserved engine and requires identical answers: observability must
 // never change what a query returns, which summary table serves it, or
-// whether the cache hits.
+// whether the cache hits. A cache-less engine, Rewrite and Explain must name
+// the same summary table as the cached Query: the plan cache memoizes the one
+// plan choice, it never makes a different one.
 func TestObserverParity(t *testing.T) {
 	observed := suiteEngine(t, astdb.WithObserver(obs.New()))
 	plain := suiteEngine(t)
+	uncached := suiteEngine(t, astdb.WithPlanCache(-1))
 
 	names := make([]string, 0, len(bench.Queries))
 	for name := range bench.Queries {
@@ -63,6 +66,22 @@ func TestObserverParity(t *testing.T) {
 			astdb.SortRows(b.Result.Rows)
 			if diff := exec.EqualResults(a.Result, b.Result); diff != "" {
 				t.Fatalf("%s pass %d: results diverged: %s", name, pass, diff)
+			}
+			c, err := uncached.Query(ctx, bench.Queries[name])
+			if err != nil {
+				t.Fatalf("%s (uncached): %v", name, err)
+			}
+			rw, err := uncached.Rewrite(ctx, bench.Queries[name])
+			if err != nil {
+				t.Fatalf("%s (rewrite): %v", name, err)
+			}
+			rep, err := uncached.Explain(ctx, bench.Queries[name])
+			if err != nil {
+				t.Fatalf("%s (explain): %v", name, err)
+			}
+			if c.AST != b.AST || rw.AST != b.AST || rep.ChosenAST != b.AST {
+				t.Errorf("%s pass %d: plan choice diverged: cached Query %q, uncached Query %q, Rewrite %q, Explain %q",
+					name, pass, b.AST, c.AST, rw.AST, rep.ChosenAST)
 			}
 		}
 	}

@@ -11,12 +11,15 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/qgm"
+	"repro/internal/qgmcheck"
 )
 
 // PlanCache memoizes rewrite results across repeated queries (multi-query
 // workloads re-issue the same report queries constantly; matching every AST
 // every time is pure overhead). It is a bounded LRU keyed by the normalized
-// query SQL plus a freshness fingerprint of the candidate AST set.
+// query SQL plus a freshness fingerprint of the candidate AST set. It only
+// memoizes RewriteOrFallback's plan choice: passing a nil *PlanCache to
+// RewriteSQLCached disables caching and changes nothing else.
 //
 // The fingerprint is what makes a hit safe: it folds in every candidate's
 // name, refresh epoch, stale flag, and quarantine flag (plus the rewriter's
@@ -251,43 +254,44 @@ type CachedRewrite struct {
 
 // RewriteSQLCached answers "what plan should run for this SQL" through the
 // cache: on a hit it returns a clone of the cached plan without running the
-// matcher at all; on a miss it builds the query, picks the cheapest rewrite
-// via parallel cost-based matching (validated, falling back to the base plan
-// like RewriteOrFallback), and caches the outcome — including negative
-// outcomes, so a query no AST serves stops paying match overhead too.
+// matcher at all; on a miss it builds the query, checks the built graph when
+// Options.VerifyPlans is on, picks the plan with RewriteOrFallback, and caches
+// the outcome — including negative outcomes, so a query no AST serves stops
+// paying match overhead too. A nil cache disables caching (no key, no lookup,
+// nothing stored), so the plan choice is the same with or without a cache.
+// sizer must not be nil.
 func (rw *Rewriter) RewriteSQLCached(ctx context.Context, cache *PlanCache, sql string, asts []*CompiledAST, sizer Sizer) (*CachedRewrite, error) {
 	span := obs.SpanFromContext(ctx)
-	lookup := span.Child("plancache.lookup")
-	key := rw.cacheKey(sql, asts)
-	plan, astName, ok := cache.get(key)
-	lookup.End()
-	if ok {
-		rw.obsv.Add(CtrCacheHits, 1)
-		return &CachedRewrite{Plan: plan, AST: astName, Hit: true}, nil
+	var key string
+	if cache != nil {
+		lookup := span.Child("plancache.lookup")
+		key = rw.cacheKey(sql, asts)
+		plan, astName, ok := cache.get(key)
+		lookup.End()
+		if ok {
+			rw.obsv.Add(CtrCacheHits, 1)
+			return &CachedRewrite{Plan: plan, AST: astName, Hit: true}, nil
+		}
+		rw.obsv.Add(CtrCacheMisses, 1)
 	}
-	rw.obsv.Add(CtrCacheMisses, 1)
 	parse := span.Child("parse")
 	query, err := qgm.BuildSQL(sql, rw.cat)
 	parse.End()
 	if err != nil {
 		return nil, err
 	}
-	clone := query.Clone()
-	var res *Result
-	if sizer != nil {
-		res = rw.RewriteBestCostCtx(ctx, clone, asts, sizer)
-	} else {
-		res = rw.RewriteBestCtx(ctx, clone, asts)
-	}
-	plan, astName = query, ""
-	if res != nil {
-		if err := rw.verifyRewrite(clone, asts); err != nil {
-			rw.noteDegraded(fmt.Errorf("core: discarding invalid rewrite against %q: %w", res.AST.Def.Name, err))
-			res = nil
-		} else {
-			plan, astName = clone, res.AST.Def.Name
+	if rw.opts.VerifyPlans {
+		if err := qgmcheck.AsError(qgmcheck.Check(query)); err != nil {
+			return nil, fmt.Errorf("core: built graph failed verification: %w", err)
 		}
 	}
-	rw.obsv.Add(CtrCacheEvictions, int64(cache.put(key, plan, astName)))
-	return &CachedRewrite{Plan: plan, AST: astName, Rewrite: res}, nil
+	plan, res := rw.RewriteOrFallback(ctx, query, asts, sizer)
+	cr := &CachedRewrite{Plan: plan, Rewrite: res}
+	if res != nil {
+		cr.AST = res.AST.Def.Name
+	}
+	if cache != nil {
+		rw.obsv.Add(CtrCacheEvictions, int64(cache.put(key, plan, cr.AST)))
+	}
+	return cr, nil
 }

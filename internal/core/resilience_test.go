@@ -15,6 +15,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/qgm"
+	"repro/internal/qgmcheck"
 )
 
 const resAST = `select flid, year(date) as year, count(*) as cnt
@@ -133,7 +134,7 @@ func TestRewriteOrFallbackNeverMutatesInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := g.SQL()
-	plan, res := e.rw.RewriteOrFallback(context.Background(), g, []*core.CompiledAST{ca})
+	plan, res := e.rw.RewriteOrFallback(context.Background(), g, []*core.CompiledAST{ca}, e.store)
 	if res == nil {
 		t.Fatal("expected a rewrite")
 	}
@@ -143,7 +144,7 @@ func TestRewriteOrFallbackNeverMutatesInput(t *testing.T) {
 	if g.SQL() != before {
 		t.Fatal("input graph was mutated")
 	}
-	if err := plan.Validate(); err != nil {
+	if err := qgmcheck.Structural(plan); err != nil {
 		t.Fatalf("returned plan invalid: %v", err)
 	}
 
@@ -173,7 +174,7 @@ func TestRewriteOrFallbackReturnsBasePlanUnderPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, res := e.rw.RewriteOrFallback(context.Background(), g, []*core.CompiledAST{ca})
+	plan, res := e.rw.RewriteOrFallback(context.Background(), g, []*core.CompiledAST{ca}, e.store)
 	if res != nil {
 		t.Fatal("rewrite succeeded despite injected panic")
 	}
@@ -195,7 +196,7 @@ func TestRewriteBestCtxCanceledFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _ := e.rw.RewriteOrFallback(ctx, g, []*core.CompiledAST{ca})
+	plan, _ := e.rw.RewriteOrFallback(ctx, g, []*core.CompiledAST{ca}, e.store)
 	// With a dead context matching stops immediately; whatever plan comes
 	// back must still run.
 	if _, err := e.engine.Run(plan); err != nil {

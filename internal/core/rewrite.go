@@ -274,17 +274,10 @@ func (rw *Rewriter) Rewrite(query *qgm.Graph, ast *CompiledAST) *Result {
 // highest query box; it returns nil when none match. (The paper routes a
 // query towards multiple ASTs by iterating; RewriteBest is one iteration.)
 // Stale and quarantined ASTs are skipped; a candidate whose match attempt
-// panics is skipped (recovered and recorded), never fatal.
+// panics is skipped (recovered and recorded), never fatal. This is the
+// paper's §7 height-ordered routing; query entry points choose plans by cost
+// through RewriteOrFallback instead.
 func (rw *Rewriter) RewriteBest(query *qgm.Graph, asts []*CompiledAST) *Result {
-	return rw.RewriteBestCtx(context.Background(), query, asts)
-}
-
-// RewriteBestCtx is RewriteBest bounded by a context; when the context
-// expires, matching stops and whatever best candidate was established so far
-// is applied (or none).
-func (rw *Rewriter) RewriteBestCtx(ctx context.Context, query *qgm.Graph, asts []*CompiledAST) *Result {
-	span := obs.SpanFromContext(ctx).Child("match")
-	defer span.End()
 	type cand struct {
 		ast *CompiledAST
 		mm  *Match
@@ -296,7 +289,7 @@ func (rw *Rewriter) RewriteBestCtx(ctx context.Context, query *qgm.Graph, asts [
 		if !rw.usable(ast) || !rw.admit(qsig, ast) {
 			continue
 		}
-		for _, mm := range rw.safeMatches(ctx, query, ast) {
+		for _, mm := range rw.safeMatches(context.Background(), query, ast) {
 			if best == nil || heights[mm.Subsumee.ID] > heights[best.mm.Subsumee.ID] {
 				best = &cand{ast: ast, mm: mm}
 			}
@@ -309,15 +302,17 @@ func (rw *Rewriter) RewriteBestCtx(ctx context.Context, query *qgm.Graph, asts [
 	return &Result{AST: best.ast, Match: best.mm, Replaced: best.mm.Subsumee}
 }
 
-// RewriteOrFallback is the resilient rewrite entry point: it always returns
-// a runnable graph. It attempts the best rewrite on a clone of the query; if
-// no usable AST matches, matching panics, or the rewritten graph fails
-// validation, the original graph is returned untouched with a nil Result.
-// The input graph is never mutated, so callers can re-run it as the base
-// plan if executing the rewritten plan later fails.
-func (rw *Rewriter) RewriteOrFallback(ctx context.Context, query *qgm.Graph, asts []*CompiledAST) (*qgm.Graph, *Result) {
+// RewriteOrFallback is the one plan choice behind every query entry point
+// (plan-cache misses, Query, Rewrite, EXPLAIN): it always returns a runnable
+// graph. It picks the cheapest beneficial rewrite by RewriteBestCostCtx on a
+// clone of the query and verifies it; if no usable AST is estimated cheaper,
+// matching panics, or the rewritten graph fails verification, the original
+// graph is returned untouched with a nil Result. The input graph is never
+// mutated, so callers can re-run it as the base plan if executing the
+// rewritten plan later fails. sizer must not be nil.
+func (rw *Rewriter) RewriteOrFallback(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer) (*qgm.Graph, *Result) {
 	clone := query.Clone()
-	res := rw.RewriteBestCtx(ctx, clone, asts)
+	res := rw.RewriteBestCostCtx(ctx, clone, asts, sizer)
 	if res == nil {
 		return query, nil
 	}
@@ -328,12 +323,11 @@ func (rw *Rewriter) RewriteOrFallback(ctx context.Context, query *qgm.Graph, ast
 	return clone, res
 }
 
-// verifyRewrite gates an accepted rewrite. The structural check (a strict
-// superset of the legacy shallow qgm.Validate: pointer-identity bindings,
-// grouping-set canonicalization, scalar arity) always runs; with
-// Options.VerifyPlans the full semantic checker runs too — type inference and
-// the compensation post-conditions of internal/qgmcheck, classified against
-// the candidate AST definitions. Verification failures discard the rewrite
+// verifyRewrite gates an accepted rewrite. The structural check (box shape,
+// pointer-identity bindings, grouping-set canonicalization, scalar arity)
+// always runs; with Options.VerifyPlans the full semantic checker runs too —
+// type inference and the compensation post-conditions of internal/qgmcheck,
+// classified against the candidate AST definitions. Verification failures discard the rewrite
 // (the caller degrades to the base plan); they are never query failures.
 func (rw *Rewriter) verifyRewrite(g *qgm.Graph, asts []*CompiledAST) error {
 	if err := qgmcheck.Structural(g); err != nil {

@@ -331,22 +331,18 @@ func TestRejectsWideScalarSubquery(t *testing.T) {
 	wantRule(t, ck, g, "binding/scalar")
 }
 
-// The deprecated shallow validator and the new Structural check agree on a
-// clean plan, and Structural additionally rejects the pointer-identity
-// corruption the shallow ID-based check cannot see.
-func TestStructuralSupersetOfValidate(t *testing.T) {
+// Structural accepts a clean plan and rejects the pointer-identity corruption
+// an ID-based check cannot see.
+func TestStructuralRejectsSameIDTwin(t *testing.T) {
 	g, _ := rewritten(t, "q4", "ast6")
-	if err := g.Validate(); err != nil {
-		t.Fatalf("qgm.Validate on clean plan: %v", err)
-	}
 	if err := qgmcheck.Structural(g); err != nil {
 		t.Fatalf("Structural on clean plan: %v", err)
 	}
 
 	// Re-point a reference at a fabricated twin of its quantifier — same ID,
 	// same child box, different pointer. That is exactly what a buggy clone
-	// leaves behind; the ID-based shallow check resolves it, pointer identity
-	// does not.
+	// leaves behind; resolving by ID would accept it, pointer identity does
+	// not.
 	mutated := false
 	for _, b := range g.Boxes() {
 		for i, c := range b.Cols {
@@ -364,10 +360,39 @@ func TestStructuralSupersetOfValidate(t *testing.T) {
 	if !mutated {
 		t.Fatal("no plain column reference to re-point")
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("shallow Validate unexpectedly rejected the same-ID twin: %v", err)
-	}
 	if err := qgmcheck.Structural(g); err == nil {
 		t.Error("Structural accepted a same-ID foreign quantifier reference")
+	}
+}
+
+// Malformed GROUP BY boxes: a predicate, a grouping-set position past the
+// box's arity, and a non-aggregate extra output are each refused.
+func TestStructuralRejectsMalformedGroupBy(t *testing.T) {
+	env := bench.NewEnv(60, core.Options{})
+	for _, tc := range []struct {
+		name, rule string
+		corrupt    func(gb *qgm.Box)
+	}{
+		{"predicate", "structure/groupby", func(gb *qgm.Box) {
+			gb.Preds = append(gb.Preds, &qgm.Const{Val: sqltypes.NewBool(true)})
+		}},
+		{"grouping-set position", "gsets/canonical", func(gb *qgm.Box) { gb.GroupingSets = [][]int{{5}} }},
+		{"non-aggregate output", "structure/groupby", func(gb *qgm.Box) {
+			gb.Cols = append(gb.Cols, qgm.QCL{Name: "bad", Expr: &qgm.Bin{
+				Op: "+",
+				L:  &qgm.ColRef{Q: gb.Quantifiers[0], Col: 0},
+				R:  &qgm.Const{Val: sqltypes.NewInt(1)},
+			}})
+		}},
+	} {
+		g := qgm.MustBuildSQL("select faid, count(*) as c from trans group by faid", env.Cat)
+		gb := g.Root.Child()
+		if gb.Kind != qgm.GroupByBox {
+			t.Fatalf("root child is %v, want a GROUP BY box", gb.Kind)
+		}
+		tc.corrupt(gb)
+		if err := qgmcheck.Structural(g); err == nil || !strings.Contains(err.Error(), tc.rule) {
+			t.Errorf("%s: want a %s violation, got %v", tc.name, tc.rule, err)
+		}
 	}
 }
